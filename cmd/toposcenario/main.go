@@ -60,7 +60,7 @@ type runConfig struct {
 func main() {
 	var cfg runConfig
 	flag.StringVar(&cfg.spec, "spec", "", "scenario spec file ('-' = stdin; required)")
-	flag.IntVar(&cfg.workers, "workers", 0, "worker pool bound (<= 0 = GOMAXPROCS); output is identical for any value")
+	flag.IntVar(&cfg.workers, "workers", 0, "total worker budget, split between scenario replications and each one's stages (<= 0 = GOMAXPROCS); output is identical for any value")
 	flag.StringVar(&cfg.format, "format", "table", "output format: table|json")
 	flag.StringVar(&cfg.out, "o", "-", "output file ('-' = stdout)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "abort the batch after this long (0 = no limit)")

@@ -48,7 +48,7 @@ func main() {
 	flag.IntVar(&cfg.cacheBudgetMB, "cache-budget-mb", 0, "snapshot cache budget in MiB (0 = engine default, negative disables retention)")
 	flag.IntVar(&cfg.maxQueue, "queue", 0, "max queued jobs before 429 (0 = default 64)")
 	flag.IntVar(&cfg.executors, "executors", 0, "jobs run concurrently (0 = default 2)")
-	flag.IntVar(&cfg.jobWorkers, "job-workers", 0, "engine workers per job (<= 0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.jobWorkers, "job-workers", 0, "engine worker budget per job, split between its replications and their stages (<= 0 = GOMAXPROCS)")
 	flag.DurationVar(&cfg.jobTimeout, "job-timeout", 0, "per-job execution bound (0 = no limit)")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "graceful-drain bound after SIGINT/SIGTERM")
 	flag.Parse()

@@ -26,9 +26,10 @@ func (g *Graph) Betweenness() []float64 {
 		sigma[s] = 1
 		dist[s] = 0
 		queue = append(queue, s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		// Read by head index: reslicing the front away would give up
+		// capacity and regrow the queue for every source.
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
 			stack = append(stack, u)
 			for _, h := range g.adj[u] {
 				v := h.to

@@ -504,6 +504,33 @@ func TestBetweennessPath(t *testing.T) {
 	}
 }
 
+// TestBetweennessAllocsBounded pins the per-call allocation count on a
+// preferential-attachment graph: the BFS queue is reused across
+// sources, so what remains is the fixed buffers plus predecessor-list
+// growth, which stays below 3n.
+func TestBetweennessAllocsBounded(t *testing.T) {
+	const n, m = 1000, 2
+	r := rng.New(7)
+	g := New(n)
+	g.AddNode(Node{})
+	g.AddNode(Node{})
+	g.AddEdge(Edge{U: 0, V: 1, Weight: 1})
+	ends := []int{0, 1} // every edge endpoint once: degree-proportional picks
+	for v := 2; v < n; v++ {
+		g.AddNode(Node{})
+		for k := 0; k < m; k++ {
+			g.AddEdge(Edge{U: v, V: ends[r.Intn(len(ends))], Weight: 1})
+		}
+		for _, h := range g.adj[v] {
+			ends = append(ends, h.to, v)
+		}
+	}
+	allocs := testing.AllocsPerRun(2, func() { g.Betweenness() })
+	if allocs > 3*n {
+		t.Fatalf("Betweenness: %.0f allocs per call on n=%d, want <= %d", allocs, n, 3*n)
+	}
+}
+
 func TestKCore(t *testing.T) {
 	// Triangle with a pendant: triangle nodes are 2-core, pendant 1-core.
 	g := New(4)

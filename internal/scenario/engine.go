@@ -19,9 +19,13 @@ import (
 
 // Options tune an Engine batch run.
 type Options struct {
-	// Workers bounds the goroutines fanning (scenario, replication)
-	// units out (<= 0 means GOMAXPROCS). All reductions happen in unit
-	// order, so output is byte-identical for any value.
+	// Workers is the batch's total worker budget (<= 0 means
+	// GOMAXPROCS), split between the fan-out over (scenario,
+	// replication) units and each unit's stages: units are saturated
+	// first, and what is left per unit goes to its profile, metric,
+	// attack and traffic evaluations (see par.Split). A one-unit batch
+	// thus spends the whole budget inside its stages. All reductions
+	// happen in fixed order, so output is byte-identical for any value.
 	Workers int
 	// Progress, when non-nil, is called once per completed (scenario,
 	// replication) unit with a copy of its result. Units complete in
@@ -98,10 +102,11 @@ func (e *Engine) snapshot(ctx context.Context, gen Generator, resolved Params, s
 	}
 }
 
-// Run executes one scenario with the given worker bound applied to its
-// replications. Like RunBatch, a started-then-failed run returns its
-// Partial result alongside the error — the single-scenario surface
-// keeps the completed replication prefix instead of dropping it.
+// Run executes one scenario with the given worker budget split between
+// its replications and their stages. Like RunBatch, a
+// started-then-failed run returns its Partial result alongside the
+// error — the single-scenario surface keeps the completed replication
+// prefix instead of dropping it.
 func (e *Engine) Run(ctx context.Context, sc Scenario, opt Options) (*Result, error) {
 	out, err := e.RunBatch(ctx, []Scenario{sc}, opt)
 	if err != nil {
@@ -114,9 +119,10 @@ func (e *Engine) Run(ctx context.Context, sc Scenario, opt Options) (*Result, er
 }
 
 // RunBatch executes scenarios concurrently: every (scenario,
-// replication) unit fans out across the worker pool and results are
-// reduced in unit order, so the returned slice — and each Result's
-// Format output — is byte-identical for any Options.Workers. The
+// replication) unit fans out across the worker pool, the budget left
+// per unit parallelizes its stages, and results are reduced in unit
+// order, so the returned slice — and each Result's Format output — is
+// byte-identical for any Options.Workers. The
 // context is checked before each unit and inside every stage; the first
 // (lowest-unit) error aborts the batch, with cancellation surfacing as
 // an errs.ErrCanceled-wrapping error.
@@ -150,15 +156,16 @@ func (e *Engine) RunBatch(ctx context.Context, scs []Scenario, opt Options) ([]*
 			units = append(units, unitRef{si, rep})
 		}
 	}
+	outer, inner := par.Split(opt.Workers, len(units))
 	// done is written by at most one worker per index and read only
 	// after the fan-out fully returns.
 	done := make([]bool, len(units))
-	err := par.ForEachErr(opt.Workers, len(units), func(u int) error {
+	err := par.ForEachErr(outer, len(units), func(u int) error {
 		if err := errs.Ctx(ctx); err != nil {
 			return fmt.Errorf("scenario: unit %d: %w", u, err)
 		}
 		ref := units[u]
-		rr, err := e.runRep(ctx, &scs[ref.si], gens[ref.si], resolved[ref.si], ref.rep)
+		rr, err := e.runRep(ctx, &scs[ref.si], gens[ref.si], resolved[ref.si], ref.rep, inner)
 		if err != nil {
 			return fmt.Errorf("scenario %s rep %d: %w", scs[ref.si].describe(), ref.rep, err)
 		}
@@ -190,8 +197,9 @@ func (e *Engine) RunBatch(ctx context.Context, scs []Scenario, opt Options) ([]*
 
 // runRep executes one replication: generate (or hit the snapshot
 // cache), then the enabled measure/route/attack stages, all on the
-// shared frozen CSR.
-func (e *Engine) runRep(ctx context.Context, sc *Scenario, gen Generator, resolved Params, rep int) (RepResult, error) {
+// shared frozen CSR. workers is the unit's share of the batch budget,
+// handed to every stage evaluation that fans out.
+func (e *Engine) runRep(ctx context.Context, sc *Scenario, gen Generator, resolved Params, rep, workers int) (RepResult, error) {
 	seed := sc.SeedFor(rep)
 	g, c, err := e.snapshot(ctx, gen, resolved, seed)
 	if err != nil {
@@ -201,7 +209,7 @@ func (e *Engine) runRep(ctx context.Context, sc *Scenario, gen Generator, resolv
 
 	if m := sc.Measure; m != nil {
 		if m.wantProfile() {
-			prof, err := metrics.ProfileContext(ctx, g, c, seed, 1)
+			prof, err := metrics.ProfileContext(ctx, g, c, seed, workers)
 			if err != nil {
 				return RepResult{}, err
 			}
@@ -220,7 +228,7 @@ func (e *Engine) runRep(ctx context.Context, sc *Scenario, gen Generator, resolv
 		}
 		if len(m.Metrics) > 0 {
 			vals, err := metricreg.Default().Evaluate(ctx, metricreg.NewSource(g, c), m.Metrics,
-				metricreg.Options{Workers: 1, Seed: seed})
+				metricreg.Options{Workers: workers, Seed: seed})
 			if err != nil {
 				return RepResult{}, err
 			}
@@ -237,7 +245,7 @@ func (e *Engine) runRep(ctx context.Context, sc *Scenario, gen Generator, resolv
 	}
 
 	if ts := sc.Traffic; ts != nil {
-		sum, err := e.traffic(ctx, g, c, ts, seed)
+		sum, err := e.traffic(ctx, g, c, ts, seed, workers)
 		if err != nil {
 			return RepResult{}, err
 		}
@@ -260,7 +268,7 @@ func (e *Engine) runRep(ctx context.Context, sc *Scenario, gen Generator, resolv
 			Params:  at.Params,
 			Fracs:   fracs,
 			Trials:  trials,
-			Workers: 1,
+			Workers: workers,
 		}, seed)
 		if err != nil {
 			return RepResult{}, err
@@ -273,7 +281,7 @@ func (e *Engine) runRep(ctx context.Context, sc *Scenario, gen Generator, resolv
 	}
 
 	if tl := sc.Timeline; tl != nil {
-		pts, err := e.timeline(ctx, g, c, sc, tl, seed)
+		pts, err := e.timeline(ctx, g, c, sc, tl, seed, workers)
 		if err != nil {
 			return RepResult{}, err
 		}
@@ -290,7 +298,7 @@ func (e *Engine) runRep(ctx context.Context, sc *Scenario, gen Generator, resolv
 // point. The scenario's Traffic stage, when present, seeds the initial
 // demand model, site count, and default capacity; without one the
 // defaults match a bare TrafficSpec (gravity, 16 sites, unit capacity).
-func (e *Engine) timeline(ctx context.Context, g *graph.Graph, c *graph.CSR, sc *Scenario, tl *TimelineSpec, seed int64) ([]TimelinePoint, error) {
+func (e *Engine) timeline(ctx context.Context, g *graph.Graph, c *graph.CSR, sc *Scenario, tl *TimelineSpec, seed int64, workers int) ([]TimelinePoint, error) {
 	repeat := tl.Repeat
 	if repeat < 1 {
 		repeat = 1
@@ -370,7 +378,7 @@ func (e *Engine) timeline(ctx context.Context, g *graph.Graph, c *graph.CSR, sc 
 			pts[i] = pt
 			continue
 		}
-		sum, err := trafficSummary(ctx, trafficG, c, sel, sites, defCap, seed)
+		sum, err := trafficSummary(ctx, trafficG, c, sel, sites, defCap, seed, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -429,7 +437,7 @@ func trafficMetricSet() []metricreg.Selection {
 // top-degree sites, and the CapTraffic metrics summarize the
 // volume-aware allocation. One fused evaluation per replication on the
 // shared frozen snapshot.
-func (e *Engine) traffic(ctx context.Context, g *graph.Graph, c *graph.CSR, ts *TrafficSpec, seed int64) (*TrafficSummary, error) {
+func (e *Engine) traffic(ctx context.Context, g *graph.Graph, c *graph.CSR, ts *TrafficSpec, seed int64, workers int) (*TrafficSummary, error) {
 	sites := ts.Sites
 	if sites <= 0 {
 		sites = 16
@@ -442,13 +450,13 @@ func (e *Engine) traffic(ctx context.Context, g *graph.Graph, c *graph.CSR, ts *
 	if defCap == 0 {
 		defCap = 1
 	}
-	return trafficSummary(ctx, g, c, trafficreg.Selection{Name: ts.Model, Params: ts.Params}, sites, defCap, seed)
+	return trafficSummary(ctx, g, c, trafficreg.Selection{Name: ts.Model, Params: ts.Params}, sites, defCap, seed, workers)
 }
 
 // trafficSummary evaluates one demand model over the topology's site
 // geography and summarizes the CapTraffic metric set — the shared back
 // half of the traffic stage and every timeline traffic row.
-func trafficSummary(ctx context.Context, g *graph.Graph, c *graph.CSR, sel trafficreg.Selection, sites int, defCap float64, seed int64) (*TrafficSummary, error) {
+func trafficSummary(ctx context.Context, g *graph.Graph, c *graph.CSR, sel trafficreg.Selection, sites int, defCap float64, seed int64, workers int) (*TrafficSummary, error) {
 	eval, demands, sites, err := trafficreg.PrepareGraphTraffic(ctx, g, sel, sites, defCap, seed)
 	if err != nil {
 		return nil, err
@@ -456,7 +464,7 @@ func trafficSummary(ctx context.Context, g *graph.Graph, c *graph.CSR, sel traff
 	src := metricreg.NewSource(eval, c)
 	src.SetTraffic(demands)
 	vals, err := metricreg.Default().Evaluate(ctx, src, trafficMetricSet(),
-		metricreg.Options{Workers: 1, Seed: seed})
+		metricreg.Options{Workers: workers, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/errs"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 func testScenarios() []Scenario {
@@ -111,21 +112,69 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// allStagesScenario runs every stage on one topology: the profile,
+// degrees and exact hop metrics, routing, traffic, a randomized attack,
+// and a timeline whose capacity-set/demand-switch rows re-evaluate
+// traffic.
+func allStagesScenario(seeds ...int64) Scenario {
+	return Scenario{
+		Name:     "all-stages",
+		Generate: GenerateSpec{Model: "ba", Params: Params{"n": 150, "m": 2}},
+		Measure: &MeasureSpec{Profile: true, Degrees: true, Metrics: []MetricSelection{
+			{Name: "avg-hop-length"}, {Name: "diameter"}, {Name: "lcc"}, {Name: "clustering"},
+		}},
+		Route:   &RouteSpec{Demands: 40},
+		Traffic: &TrafficSpec{Model: "gravity", Sites: 10},
+		Attack:  &AttackSpec{Strategy: "random", Fracs: []float64{0.05, 0.2}, Trials: 4},
+		Timeline: &TimelineSpec{
+			Events: []TimelineEventSpec{
+				{Event: "fail-node", Node: ip(4)},
+				{Event: "capacity-set", Edge: ip(1), Capacity: fp(3)},
+				{Event: "demand-switch", Model: "zipf-hotspot"},
+				{Event: "repair", Node: ip(4)},
+			},
+		},
+		Seeds: seeds,
+	}
+}
+
 // TestRunBatchWorkersDeterminism mirrors experiments.TestWorkersDeterminism
-// for the scenario engine: byte-identical tables at any worker count.
+// for the scenario engine: byte-identical tables and JSON at any worker
+// budget. The multi-unit batch spends the budget across units; the
+// one-unit batch spends all of it inside the unit's stages; the two-unit
+// batch at Workers 3 splits it unevenly (two units, one worker each).
 func TestRunBatchWorkersDeterminism(t *testing.T) {
-	scs := testScenarios()
-	seq, err := NewEngine(nil).RunBatch(context.Background(), scs, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	batches := map[string][]Scenario{
+		"multi-unit": testScenarios(),
+		"one-unit":   {allStagesScenario(1)},
+		"two-unit":   {allStagesScenario(1, 2)},
 	}
-	parl, err := NewEngine(nil).RunBatch(context.Background(), scs, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
+	if outer, inner := par.Split(3, 2); outer != 2 || inner != 1 {
+		t.Fatalf("par.Split(3, 2) = (%d, %d), want (2, 1)", outer, inner)
 	}
-	a, b := formatAll(seq), formatAll(parl)
-	if a != b {
-		t.Fatalf("output differs between Workers=1 and Workers=8:\n--- Workers=1 ---\n%s\n--- Workers=8 ---\n%s", a, b)
+	for name, scs := range batches {
+		var wantText, wantJSON string
+		for _, workers := range []int{1, 2, 3, 8} {
+			res, err := NewEngine(nil).RunBatch(context.Background(), scs, Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s/workers=%d: %v", name, workers, err)
+			}
+			data, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text, js := formatAll(res), string(data)
+			if workers == 1 {
+				wantText, wantJSON = text, js
+				continue
+			}
+			if text != wantText {
+				t.Fatalf("%s: output differs between Workers=1 and Workers=%d:\n--- Workers=1 ---\n%s\n--- Workers=%d ---\n%s", name, workers, wantText, workers, text)
+			}
+			if js != wantJSON {
+				t.Fatalf("%s: JSON differs between Workers=1 and Workers=%d:\n%s\n%s", name, workers, wantJSON, js)
+			}
+		}
 	}
 }
 

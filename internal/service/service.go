@@ -129,8 +129,9 @@ type Config struct {
 	// negative value starts none, for tests that need jobs to stay
 	// queued).
 	Executors int
-	// JobWorkers is the engine worker bound per job (scenario.Options.
-	// Workers; <= 0 means GOMAXPROCS).
+	// JobWorkers is the engine worker budget per job (scenario.Options.
+	// Workers, split between the job's replications and their stages;
+	// <= 0 means GOMAXPROCS).
 	JobWorkers int
 	// JobTimeout bounds one job's execution (0 = no limit).
 	JobTimeout time.Duration

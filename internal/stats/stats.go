@@ -149,6 +149,14 @@ func FitPowerLaw(degrees []int, xmin int) PowerLawFit {
 			tail = append(tail, d)
 		}
 	}
+	counts := tailCounts(tail, xmin)
+	return fitPowerLawTail(tail, xmin, counts, make([]float64, len(counts)))
+}
+
+// fitPowerLawTail fits the power law to tail, the samples >= xmin in
+// sample order; counts[i] is the number of them equal to xmin+i, up to
+// the tail's maximum, and w is scratch of at least len(counts).
+func fitPowerLawTail(tail []int, xmin int, counts []int, w []float64) PowerLawFit {
 	if len(tail) < 2 {
 		return PowerLawFit{XMin: xmin, NTail: len(tail)}
 	}
@@ -158,7 +166,7 @@ func FitPowerLaw(degrees []int, xmin int) PowerLawFit {
 	}
 	alpha := 1 + float64(len(tail))/s
 	fit := PowerLawFit{Alpha: alpha, XMin: xmin, NTail: len(tail)}
-	fit.KS = ksDistancePowerLaw(tail, xmin, alpha)
+	fit.KS = ksDistancePowerLaw(counts, len(tail), xmin, alpha, w)
 	return fit
 }
 
@@ -178,16 +186,18 @@ func FitPowerLawAuto(degrees []int, maxXMin int) PowerLawFit {
 	if maxXMin <= 0 || maxXMin > maxDeg {
 		maxXMin = maxDeg
 	}
+	sc := newTailScan(degrees, maxDeg)
+	w := make([]float64, len(sc.hist))
 	best := PowerLawFit{KS: math.Inf(1)}
 	for xmin := 1; xmin <= maxXMin; xmin++ {
-		f := FitPowerLaw(degrees, xmin)
-		if f.NTail < 10 {
+		tail := sc.advance(xmin)
+		if len(tail) < 10 {
 			break // tails only shrink as xmin grows
 		}
-		if !hasTwoDistinctAtLeast(degrees, xmin) {
+		if !hasTwoDistinctAtLeast(tail, xmin) {
 			continue // single-support-point tail fits anything perfectly
 		}
-		if f.KS < best.KS {
+		if f := fitPowerLawTail(tail, xmin, sc.hist[xmin:], w); f.KS < best.KS {
 			best = f
 		}
 	}
@@ -198,45 +208,81 @@ func FitPowerLawAuto(degrees []int, maxXMin int) PowerLawFit {
 }
 
 // ksDistancePowerLaw computes the KS distance between the empirical tail
-// CDF and the fitted discrete power law (normalized over observed support
-// range, a standard practical approximation using the Hurwitz zeta
-// truncated at a generous cap).
-func ksDistancePowerLaw(tail []int, xmin int, alpha float64) float64 {
-	maxDeg := 0
+// CDF (counts over n tail samples, see fitPowerLawTail) and the fitted
+// discrete power law (normalized over observed support range, a standard
+// practical approximation using the Hurwitz zeta truncated at a generous
+// cap). w is scratch for the model weights.
+func ksDistancePowerLaw(counts []int, n, xmin int, alpha float64, w []float64) float64 {
+	// Model CDF over [xmin, maxDeg] (truncated zeta normalization).
+	weights := w[:len(counts)]
+	total := 0.0
+	for i := range weights {
+		weights[i] = math.Pow(float64(xmin+i), -alpha)
+		total += weights[i]
+	}
+	ks := 0.0
+	acc, accEmp := 0.0, 0.0
+	for i, c := range counts {
+		acc += weights[i] / total
+		accEmp += float64(c) / float64(n)
+		if d := math.Abs(accEmp - acc); d > ks {
+			ks = d
+		}
+	}
+	return ks
+}
+
+// tailCounts histograms tail, whose samples are all >= xmin, over
+// [xmin, max(tail)].
+func tailCounts(tail []int, xmin int) []int {
+	maxDeg := xmin - 1
 	for _, d := range tail {
 		if d > maxDeg {
 			maxDeg = d
 		}
 	}
-	// Model CDF over [xmin, maxDeg] (truncated zeta normalization).
-	weights := make([]float64, maxDeg-xmin+1)
-	total := 0.0
-	for k := xmin; k <= maxDeg; k++ {
-		w := math.Pow(float64(k), -alpha)
-		weights[k-xmin] = w
-		total += w
-	}
-	modelCDF := make([]float64, len(weights))
-	acc := 0.0
-	for i, w := range weights {
-		acc += w / total
-		modelCDF[i] = acc
-	}
-	// Empirical CDF.
 	counts := make([]int, maxDeg-xmin+1)
 	for _, d := range tail {
 		counts[d-xmin]++
 	}
-	n := float64(len(tail))
-	ks := 0.0
-	accEmp := 0.0
-	for i := range counts {
-		accEmp += float64(counts[i]) / n
-		if d := math.Abs(accEmp - modelCDF[i]); d > ks {
-			ks = d
+	return counts
+}
+
+// tailScan walks the candidate xmin values of a Clauset-style scan in
+// increasing order over one copy of the sample. Each advance compacts
+// the copy in place to the samples >= xmin, keeping their order, so the
+// current tail holds exactly the samples FitPowerLaw and FitExponential
+// collect for that xmin and every float sum over it keeps its bits —
+// without a rescan and reallocation of the whole sample per candidate.
+type tailScan struct {
+	tail []int
+	// hist[k] counts the samples equal to k >= 1, up to the sample
+	// maximum, so hist[xmin:] is the tail histogram at every xmin whose
+	// tail is non-empty.
+	hist []int
+}
+
+func newTailScan(degrees []int, maxDeg int) *tailScan {
+	sc := &tailScan{tail: append([]int(nil), degrees...), hist: make([]int, maxDeg+1)}
+	for _, d := range degrees {
+		if d >= 1 {
+			sc.hist[d]++
 		}
 	}
-	return ks
+	return sc
+}
+
+// advance drops the samples below xmin and returns the remaining tail.
+func (sc *tailScan) advance(xmin int) []int {
+	k := 0
+	for _, d := range sc.tail {
+		if d >= xmin {
+			sc.tail[k] = d
+			k++
+		}
+	}
+	sc.tail = sc.tail[:k]
+	return sc.tail
 }
 
 // ExponentialFit is the result of a geometric (discrete exponential) MLE
@@ -261,6 +307,14 @@ func FitExponential(degrees []int, xmin int) ExponentialFit {
 			tail = append(tail, d)
 		}
 	}
+	return fitExponentialTail(tail, xmin, tailCounts(tail, xmin), math.Inf(1))
+}
+
+// fitExponentialTail fits the geometric tail to tail and counts as
+// fitPowerLawTail takes them. The KS scan stops once its running
+// maximum reaches stop, so a KS >= stop means only that the fit cannot
+// beat one whose KS is stop.
+func fitExponentialTail(tail []int, xmin int, counts []int, stop float64) ExponentialFit {
 	if len(tail) < 2 {
 		return ExponentialFit{XMin: xmin, NTail: len(tail)}
 	}
@@ -276,31 +330,25 @@ func FitExponential(degrees []int, xmin int) ExponentialFit {
 	}
 	lambda := math.Log(1 + 1/excess)
 	fit := ExponentialFit{Lambda: lambda, XMin: xmin, NTail: len(tail)}
-	fit.KS = ksDistanceGeometric(tail, xmin, lambda)
+	fit.KS = ksDistanceGeometric(counts, len(tail), lambda, stop)
 	return fit
 }
 
-func ksDistanceGeometric(tail []int, xmin int, lambda float64) float64 {
-	maxDeg := 0
-	for _, d := range tail {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
+// ksDistanceGeometric computes the KS distance between the empirical tail
+// CDF (counts over n tail samples) and the fitted geometric, returning
+// early once the running maximum reaches stop.
+func ksDistanceGeometric(counts []int, n int, lambda, stop float64) float64 {
 	q := math.Exp(-lambda)
-	counts := make([]int, maxDeg-xmin+1)
-	for _, d := range tail {
-		counts[d-xmin]++
-	}
-	n := float64(len(tail))
 	ks := 0.0
 	accEmp := 0.0
 	// Geometric CDF on shifted support: P(K <= k) = 1 - q^(k-xmin+1).
 	for i := range counts {
-		accEmp += float64(counts[i]) / n
+		accEmp += float64(counts[i]) / float64(n)
 		model := 1 - math.Pow(q, float64(i+1))
 		if d := math.Abs(accEmp - model); d > ks {
-			ks = d
+			if ks = d; ks >= stop {
+				break // the running maximum only grows
+			}
 		}
 	}
 	return ks
@@ -333,16 +381,20 @@ func FitExponentialAuto(degrees []int, maxXMin int) ExponentialFit {
 	if maxXMin <= 0 || maxXMin > maxDeg {
 		maxXMin = maxDeg
 	}
+	sc := newTailScan(degrees, maxDeg)
 	best := ExponentialFit{KS: math.Inf(1)}
 	for xmin := 1; xmin <= maxXMin; xmin++ {
-		f := FitExponential(degrees, xmin)
-		if f.NTail < 10 {
+		tail := sc.advance(xmin)
+		if len(tail) < 10 {
 			break // tails only shrink as xmin grows
 		}
-		if math.IsInf(f.Lambda, 1) || !hasTwoDistinctAtLeast(degrees, xmin) {
+		if !hasTwoDistinctAtLeast(tail, xmin) {
 			continue // degenerate point mass
 		}
-		if f.KS < best.KS {
+		// A candidate whose KS reaches best.KS cannot win the strict
+		// comparison, so its KS scan may stop there.
+		f := fitExponentialTail(tail, xmin, sc.hist[xmin:], best.KS)
+		if !math.IsInf(f.Lambda, 1) && f.KS < best.KS {
 			best = f
 		}
 	}
@@ -367,8 +419,11 @@ func FitExponentialAuto(degrees []int, maxXMin int) ExponentialFit {
 // positive favouring the power law; it is diagnostic output, not the
 // decision criterion. Small or degenerate samples are TailUndetermined.
 func ClassifyTail(degrees []int) TailClassification {
-	pl := FitPowerLawAuto(degrees, 0)
-	exp := FitExponentialAuto(degrees, 0)
+	return classifyFits(degrees, FitPowerLawAuto(degrees, 0), FitExponentialAuto(degrees, 0))
+}
+
+// classifyFits is ClassifyTail given the two models' auto-scanned fits.
+func classifyFits(degrees []int, pl PowerLawFit, exp ExponentialFit) TailClassification {
 	out := TailClassification{PowerLaw: pl, Exponential: exp}
 	if pl.NTail < 10 || exp.NTail < 10 {
 		out.Kind = TailUndetermined
