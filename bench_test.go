@@ -13,6 +13,7 @@ package hotgen
 // prints, so `-bench E2 -v` doubles as a quick reproduction check.
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -135,6 +136,29 @@ func BenchmarkBetweenness500(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Betweenness()
+	}
+}
+
+// BenchmarkBetweennessCSR times the source-parallel Brandes kernel on
+// the profile-size graph (BA n=3000, m=2) at one worker and at
+// GOMAXPROCS; Graph.Betweenness is its serial oracle.
+func BenchmarkBetweennessCSR(b *testing.B) {
+	g, err := gen.BarabasiAlbert(3000, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := g.Freeze()
+	for _, leg := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=gomaxprocs", 0}} {
+		b.Run(leg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Betweenness(context.Background(), leg.workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

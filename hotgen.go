@@ -52,16 +52,20 @@
 // Under all of it sits a high-performance graph kernel: Freeze snapshots
 // a Graph into an immutable CSR (compressed sparse row) layout, and
 // pooled Workspace buffers make the Dijkstra/BFS/eccentricity kernels
-// allocation-free and safe to fan out across goroutines. Both traversal
-// kernels parallelize inside a single source above 2^18 nodes — sharded
-// bottom-up BFS levels and sharded Dijkstra bucket windows
-// (CSR.BFSParallel / CSR.DijkstraParallel force a width) — and the
-// per-source fan-outs split the worker budget with the intra-source
-// shards so the two levels compose without oversubscription. The
-// routing, metric, robustness and experiment layers all run on this
-// kernel, with every parallel reduction performed in a fixed order and
-// deterministic tie-breaks inside each traversal, so results are
-// byte-identical at any worker count (see ExperimentOptions.Workers).
+// allocation-free and safe to fan out across goroutines. Both
+// single-source kernels parallelize inside one traversal above 2^18
+// nodes — sharded bottom-up BFS levels and sharded Dijkstra bucket
+// windows (CSR.BFSParallel / CSR.DijkstraParallel force a width) — and
+// routing's per-source fan-out splits its worker budget with those
+// shards. The metric layer's all-source work runs on multi-source
+// kernels instead: the registry's hop metrics share a bit-parallel
+// multi-source BFS that traverses up to 64 sources per pass, and
+// betweenness runs as a source-parallel Brandes (CSR.Betweenness) that
+// folds per-source dependencies in source order. The routing, metric,
+// robustness and experiment layers all run on this kernel, with every
+// parallel reduction performed in a fixed order and deterministic
+// tie-breaks inside each traversal, so results are byte-identical at
+// any worker count (see ExperimentOptions.Workers).
 //
 // Everything is deterministic given explicit seeds and uses only the Go
 // standard library.

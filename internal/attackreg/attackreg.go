@@ -89,7 +89,9 @@ type Attack interface {
 	// internally; the returned schedule is still a fixed order.
 	// Implementations check ctx at iteration boundaries of superlinear
 	// work and return an errs.ErrCanceled-wrapping error once it is done.
-	Schedule(ctx context.Context, g *graph.Graph, p params.Params, seed int64) ([]int, error)
+	// workers bounds the goroutines a schedule may fan out over (<= 0
+	// means GOMAXPROCS); the schedule must not depend on it.
+	Schedule(ctx context.Context, g *graph.Graph, p params.Params, seed int64, workers int) ([]int, error)
 }
 
 // Selection names one attack with optional parameters; it round-trips
@@ -206,7 +208,7 @@ type FuncAttack struct {
 	AttackParams []params.Spec
 	AttackTarget Target
 	AttackCaps   Caps
-	Fn           func(ctx context.Context, g *graph.Graph, p params.Params, seed int64) ([]int, error)
+	Fn           func(ctx context.Context, g *graph.Graph, p params.Params, seed int64, workers int) ([]int, error)
 }
 
 // Name implements Attack.
@@ -226,8 +228,8 @@ func (f *FuncAttack) Target() Target { return f.AttackTarget }
 func (f *FuncAttack) Caps() Caps { return f.AttackCaps }
 
 // Schedule implements Attack.
-func (f *FuncAttack) Schedule(ctx context.Context, g *graph.Graph, p params.Params, seed int64) ([]int, error) {
-	return f.Fn(ctx, g, p, seed)
+func (f *FuncAttack) Schedule(ctx context.Context, g *graph.Graph, p params.Params, seed int64, workers int) ([]int, error) {
+	return f.Fn(ctx, g, p, seed, workers)
 }
 
 // FormatAttacks writes a human-readable listing of every registered

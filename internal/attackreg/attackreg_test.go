@@ -23,7 +23,7 @@ func schedule(t *testing.T, name string, g *graph.Graph, p params.Params, seed i
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, err := a.Schedule(context.Background(), g, resolved, seed)
+	order, err := a.Schedule(context.Background(), g, resolved, seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +247,27 @@ func TestBottleneckEdgeCutsBridgeFirst(t *testing.T) {
 	}
 }
 
+// TestEdgeBetweennessAllocsBounded pins the per-call allocation count
+// of the bottleneck-edge scorer on a preferential-attachment graph: the
+// BFS queue is reused across sources, so what remains is the fixed
+// buffers plus predecessor-list growth, which stays below 3n.
+func TestEdgeBetweennessAllocsBounded(t *testing.T) {
+	const n = 1000
+	g, err := gen.BarabasiAlbert(n, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := edgeBetweenness(ctx, g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3*n {
+		t.Fatalf("edgeBetweenness: %.0f allocs per call on n=%d, want <= %d", allocs, n, 3*n)
+	}
+}
+
 func TestResolveRejectsBadParams(t *testing.T) {
 	a, err := Lookup("preferential")
 	if err != nil {
@@ -347,7 +368,7 @@ func TestScheduleHonorsCanceledContext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.Schedule(ctx, g, resolved, 1); !errors.Is(err, errs.ErrCanceled) {
+		if _, err := a.Schedule(ctx, g, resolved, 1, 1); !errors.Is(err, errs.ErrCanceled) {
 			t.Errorf("%s: canceled ctx gave %v, want ErrCanceled", name, err)
 		}
 	}

@@ -26,7 +26,7 @@ func builtins() []Attack {
 			AttackName:   "random-failure",
 			AttackTarget: Nodes,
 			AttackCaps:   CapRandomized,
-			Fn: func(ctx context.Context, g *graph.Graph, _ params.Params, seed int64) ([]int, error) {
+			Fn: func(ctx context.Context, g *graph.Graph, _ params.Params, seed int64, _ int) ([]int, error) {
 				if err := errs.Ctx(ctx); err != nil {
 					return nil, err
 				}
@@ -36,7 +36,7 @@ func builtins() []Attack {
 		&FuncAttack{
 			AttackName:   "degree",
 			AttackTarget: Nodes,
-			Fn: func(ctx context.Context, g *graph.Graph, _ params.Params, _ int64) ([]int, error) {
+			Fn: func(ctx context.Context, g *graph.Graph, _ params.Params, _ int64, _ int) ([]int, error) {
 				if err := errs.Ctx(ctx); err != nil {
 					return nil, err
 				}
@@ -48,18 +48,18 @@ func builtins() []Attack {
 			AttackName:   "adaptive-degree",
 			AttackTarget: Nodes,
 			AttackCaps:   CapAdaptive,
-			Fn: func(ctx context.Context, g *graph.Graph, _ params.Params, _ int64) ([]int, error) {
+			Fn: func(ctx context.Context, g *graph.Graph, _ params.Params, _ int64, _ int) ([]int, error) {
 				return adaptiveDegreeOrder(ctx, g)
 			},
 		},
 		&FuncAttack{
 			AttackName:   "betweenness",
 			AttackTarget: Nodes,
-			Fn: func(ctx context.Context, g *graph.Graph, _ params.Params, _ int64) ([]int, error) {
-				if err := errs.Ctx(ctx); err != nil {
+			Fn: func(ctx context.Context, g *graph.Graph, _ params.Params, _ int64, workers int) ([]int, error) {
+				bc, err := g.Freeze().Betweenness(ctx, workers)
+				if err != nil {
 					return nil, err
 				}
-				bc := g.Betweenness()
 				return orderByScoreDesc(len(bc), func(v int) float64 { return bc[v] }), nil
 			},
 		},
@@ -67,7 +67,7 @@ func builtins() []Attack {
 			AttackName:   "random-edge",
 			AttackTarget: Edges,
 			AttackCaps:   CapRandomized,
-			Fn: func(ctx context.Context, g *graph.Graph, _ params.Params, seed int64) ([]int, error) {
+			Fn: func(ctx context.Context, g *graph.Graph, _ params.Params, seed int64, _ int) ([]int, error) {
 				if err := errs.Ctx(ctx); err != nil {
 					return nil, err
 				}
@@ -77,7 +77,7 @@ func builtins() []Attack {
 		&FuncAttack{
 			AttackName:   "bottleneck-edge",
 			AttackTarget: Edges,
-			Fn: func(ctx context.Context, g *graph.Graph, _ params.Params, _ int64) ([]int, error) {
+			Fn: func(ctx context.Context, g *graph.Graph, _ params.Params, _ int64, _ int) ([]int, error) {
 				bc, err := edgeBetweenness(ctx, g)
 				if err != nil {
 					return nil, err
@@ -92,7 +92,7 @@ func builtins() []Attack {
 				{Name: "y", Kind: params.Float, Default: 0.5, Help: "epicenter y coordinate"},
 			},
 			AttackTarget: Nodes,
-			Fn: func(ctx context.Context, g *graph.Graph, p params.Params, _ int64) ([]int, error) {
+			Fn: func(ctx context.Context, g *graph.Graph, p params.Params, _ int64, _ int) ([]int, error) {
 				if err := errs.Ctx(ctx); err != nil {
 					return nil, err
 				}
@@ -115,7 +115,7 @@ func builtins() []Attack {
 			},
 			AttackTarget: Nodes,
 			AttackCaps:   CapRandomized,
-			Fn: func(ctx context.Context, g *graph.Graph, p params.Params, seed int64) ([]int, error) {
+			Fn: func(ctx context.Context, g *graph.Graph, p params.Params, seed int64, _ int) ([]int, error) {
 				if err := errs.Ctx(ctx); err != nil {
 					return nil, err
 				}
@@ -232,9 +232,10 @@ func edgeBetweenness(ctx context.Context, g *graph.Graph) ([]float64, error) {
 		sigma[s] = 1
 		dist[s] = 0
 		queue = append(queue, s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		// Read by head index: reslicing the front away would give up
+		// capacity and regrow the queue for every source.
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
 			stack = append(stack, u)
 			g.Neighbors(u, func(v, e int) {
 				if dist[v] < 0 {

@@ -1,8 +1,16 @@
 package graph
 
+import (
+	"context"
+
+	"repro/internal/errs"
+	"repro/internal/par"
+)
+
 // Betweenness computes exact node betweenness centrality on the unweighted
 // graph using Brandes' algorithm. The returned values are unnormalized
-// pair-dependency sums (each unordered pair counted once).
+// pair-dependency sums (each unordered pair counted once). It is the
+// reference for CSR.Betweenness.
 func (g *Graph) Betweenness() []float64 {
 	n := g.NumNodes()
 	bc := make([]float64, n)
@@ -58,6 +66,128 @@ func (g *Graph) Betweenness() []float64 {
 		bc[i] /= 2
 	}
 	return bc
+}
+
+// brandesWindow is how many sources per worker CSR.Betweenness keeps in
+// flight between folds: the dependency vectors it holds are bounded by
+// brandesWindow*workers*n float64s, and ctx is checked once per window.
+const brandesWindow = 4
+
+// brandesFoldSpan is the node-range chunk of the parallel fold.
+const brandesFoldSpan = 4096
+
+// brandesScratch is one worker's single-source Brandes state. pred is
+// CSR-shaped: the predecessors of w fill pred[rowStart[w]:predEnd] in
+// discovery order, never more than w's degree because each one arrives
+// over a distinct half-edge of w.
+type brandesScratch struct {
+	node  []brandesNode
+	queue []int32
+	pred  []int32
+}
+
+// brandesNode packs the per-node state the forward pass reads together,
+// so a neighbour visit touches one cache line: the shortest-path count,
+// the hop distance (-1 unreached) and the end of the node's predecessor
+// run in pred.
+type brandesNode struct {
+	sigma         float64
+	dist, predEnd int32
+}
+
+// Betweenness is Graph.Betweenness on the snapshot, parallel over
+// sources across up to workers goroutines (<= 0 means GOMAXPROCS) and
+// bit-identical to it at any width. Workers compute windows of
+// per-source dependency vectors with the reference kernel's traversal
+// order and expressions; each window is then folded into the result in
+// ascending source order, split by node range, so every entry sees the
+// same additions in the same order as the serial loop. ctx is checked at
+// every window; cancellation returns an errs.ErrCanceled-wrapping error.
+func (c *CSR) Betweenness(ctx context.Context, workers int) ([]float64, error) {
+	n := c.n
+	bc := make([]float64, n)
+	workers = par.Workers(workers, n)
+	window := min(brandesWindow*workers, n)
+	scratch := make([]brandesScratch, workers)
+	for w := range scratch {
+		scratch[w] = brandesScratch{
+			node:  make([]brandesNode, n),
+			queue: make([]int32, 0, n),
+			pred:  make([]int32, len(c.nbr)),
+		}
+	}
+	deltas := make([][]float64, window)
+	for k := range deltas {
+		deltas[k] = make([]float64, n)
+	}
+	for lo := 0; lo < n; lo += window {
+		if err := errs.Ctx(ctx); err != nil {
+			return nil, err
+		}
+		k := min(window, n-lo)
+		par.ForEachWorkerErr(workers, k, func(w, i int) error {
+			c.brandesSource(&scratch[w], lo+i, deltas[i])
+			return nil
+		})
+		par.ForEach(workers, (n+brandesFoldSpan-1)/brandesFoldSpan, func(chunk int) {
+			vlo := chunk * brandesFoldSpan
+			vhi := min(vlo+brandesFoldSpan, n)
+			for i, delta := range deltas[:k] {
+				s := lo + i
+				for v := vlo; v < vhi; v++ {
+					if v != s {
+						bc[v] += delta[v]
+					}
+				}
+			}
+		})
+	}
+	// Each unordered pair was counted twice (once per endpoint as source).
+	for i := range bc {
+		bc[i] /= 2
+	}
+	return bc, nil
+}
+
+// brandesSource writes source s's dependency vector into delta: one
+// top-down BFS counting shortest paths in row order, then the
+// reverse-order accumulation. Unreached nodes keep delta 0, which adds
+// nothing in the fold.
+func (c *CSR) brandesSource(sc *brandesScratch, s int, delta []float64) {
+	node, pred := sc.node, sc.pred
+	rowStart, nbr := c.rowStart, c.nbr
+	clear(delta)
+	for i := range node {
+		node[i] = brandesNode{dist: -1, predEnd: rowStart[i]}
+	}
+	node[s].sigma = 1
+	node[s].dist = 0
+	queue := append(sc.queue[:0], int32(s))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		du, su := node[u].dist+1, node[u].sigma
+		for _, v := range nbr[rowStart[u]:rowStart[u+1]] {
+			nv := &node[v]
+			if nv.dist < 0 {
+				nv.dist = du
+				queue = append(queue, v)
+			}
+			if nv.dist == du {
+				nv.sigma += su
+				pred[nv.predEnd] = u
+				nv.predEnd++
+			}
+		}
+	}
+	sc.queue = queue
+	// The queue is the reference kernel's stack: pop it in reverse.
+	for i := len(queue) - 1; i >= 0; i-- {
+		w := queue[i]
+		sw, dw := node[w].sigma, 1+delta[w]
+		for _, v := range pred[rowStart[w]:node[w].predEnd] {
+			delta[v] += node[v].sigma / sw * dw
+		}
+	}
 }
 
 // KCore returns each node's core number: the largest k such that the node

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/params"
 )
 
@@ -43,6 +44,25 @@ func BenchmarkEvaluateUnfusedBFSSet(b *testing.B) {
 			if _, err := Default().Evaluate(context.Background(), src, []Selection{sel}, Options{Seed: 1}); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkEvaluateHopSweepBA3k times the exact hop metrics of the
+// profile workload: avg-hop-length and diameter over all 3000 sources
+// of a BA n=3000, m=2 graph, one fused multi-source sweep.
+func BenchmarkEvaluateHopSweepBA3k(b *testing.B) {
+	g, err := gen.BarabasiAlbert(3000, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := NewSource(g, nil)
+	src.CSR()
+	set := []Selection{{Name: "avg-hop-length"}, {Name: "diameter"}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Default().Evaluate(context.Background(), src, set, Options{Seed: 1}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

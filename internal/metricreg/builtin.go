@@ -3,7 +3,6 @@ package metricreg
 import (
 	"context"
 	"math"
-	"sort"
 
 	"repro/internal/errs"
 	"repro/internal/graph"
@@ -186,24 +185,19 @@ type expansionAcc struct {
 	seed         int64
 	n            int
 	sources      []int
-	rows         [][]int
+	// rows holds, per source slot, the node counts at hops 0..maxH.
+	rows []int
 }
 
 func (a *expansionAcc) Sources(n int) []int {
 	a.n = n
 	a.sources = chooseSources(n, a.sample, a.seed)
-	a.rows = make([][]int, len(a.sources))
+	a.rows = make([]int, len(a.sources)*(a.maxH+1))
 	return a.sources
 }
 
-func (a *expansionAcc) Observe(slot, _ int, ws *graph.Workspace) {
-	row := make([]int, a.maxH+1)
-	for _, d := range ws.Hop[:a.n] {
-		if d >= 0 && int(d) <= a.maxH {
-			row[d]++
-		}
-	}
-	a.rows[slot] = row
+func (a *expansionAcc) Observe(slot, _ int, hist []int) {
+	copy(a.rows[slot*(a.maxH+1):(slot+1)*(a.maxH+1)], hist)
 }
 
 func (a *expansionAcc) Finalize() Value {
@@ -211,7 +205,8 @@ func (a *expansionAcc) Finalize() Value {
 		return Value{}
 	}
 	out := make([]float64, a.maxH+1)
-	for _, row := range a.rows {
+	for slot := range a.sources {
+		row := a.rows[slot*(a.maxH+1) : (slot+1)*(a.maxH+1)]
 		acc := 0
 		for h := 0; h <= a.maxH; h++ {
 			acc += row[h]
@@ -234,14 +229,12 @@ type hopStatsAcc struct {
 	sample  int
 	seed    int64
 	wantMax bool
-	n       int
 	sums    []float64
 	counts  []int
 	maxes   []int32
 }
 
 func (a *hopStatsAcc) Sources(n int) []int {
-	a.n = n
 	srcs := chooseSources(n, a.sample, a.seed)
 	a.sums = make([]float64, len(srcs))
 	a.counts = make([]int, len(srcs))
@@ -249,20 +242,15 @@ func (a *hopStatsAcc) Sources(n int) []int {
 	return srcs
 }
 
-func (a *hopStatsAcc) Observe(slot, _ int, ws *graph.Workspace) {
-	sum := 0.0
-	count := 0
-	max := int32(0)
-	for _, d := range ws.Hop[:a.n] {
-		if d > 0 {
-			sum += float64(d)
-			count++
-			if d > max {
-				max = d
-			}
-		}
+// Observe reduces the histogram to integer totals; their float64
+// conversion is exact (below 2^53), so it equals a per-node float sum.
+func (a *hopStatsAcc) Observe(slot, _ int, hist []int) {
+	sum, count := 0, 0
+	for h := 1; h < len(hist); h++ {
+		sum += h * hist[h]
+		count += hist[h]
 	}
-	a.sums[slot], a.counts[slot], a.maxes[slot] = sum, count, max
+	a.sums[slot], a.counts[slot], a.maxes[slot] = float64(sum), count, int32(len(hist)-1)
 }
 
 func (a *hopStatsAcc) Finalize() Value {
@@ -377,34 +365,26 @@ func (a *resilienceAcc) Run(ctx context.Context, src *Source, workers int) error
 func (a *resilienceAcc) Finalize() Value { return a.val }
 
 // distortionAcc measures how well the graph's own spanning structure
-// preserves graph distances: following [30], the average, over edges of
-// a minimum spanning tree, of the tree distance between the edge's
-// endpoints. A tree has distortion 1; meshes with much redundancy have
-// higher distortion. Needs CapGraph for the MST and edge list.
+// preserves graph distances: following [30], the average, over sampled
+// graph edges, of the distance between the edge's endpoints in a
+// minimum spanning tree. A tree has distortion 1; meshes with much
+// redundancy have higher distortion. Needs CapGraph for the MST and
+// edge list.
 type distortionAcc struct {
 	sample int
 	seed   int64
 	val    Value
 }
 
-func (a *distortionAcc) Run(ctx context.Context, src *Source, workers int) error {
+func (a *distortionAcc) Run(ctx context.Context, src *Source, _ int) error {
 	g := src.Graph()
 	m := g.NumEdges()
 	n := g.NumNodes()
 	if m == 0 || n == 0 {
 		return nil
 	}
-	// Build MST as its own graph.
 	mstIDs, _ := g.KruskalMST()
-	tree := graph.New(n)
-	for i := 0; i < n; i++ {
-		tree.AddNode(*g.Node(i))
-	}
-	for _, id := range mstIDs {
-		e := g.Edge(id)
-		tree.AddEdge(graph.Edge{U: e.U, V: e.V, Weight: e.Weight})
-	}
-	// Sample non-tree edges (tree edges have distortion exactly 1).
+	depth, parent := forestDepths(g, mstIDs)
 	edges := make([]int, 0, m)
 	for i := 0; i < m; i++ {
 		edges = append(edges, i)
@@ -414,63 +394,96 @@ func (a *distortionAcc) Run(ctx context.Context, src *Source, workers int) error
 		r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 		edges = edges[:a.sample]
 	}
-	// Group queries by source to share BFS runs.
-	bySrc := map[int][]int{}
-	for _, id := range edges {
-		e := g.Edge(id)
-		bySrc[e.U] = append(bySrc[e.U], e.V)
-	}
-	srcs := make([]int, 0, len(bySrc))
-	for s := range bySrc {
-		srcs = append(srcs, s)
-	}
-	sort.Ints(srcs)
-	tc := tree.Freeze()
-	type partial struct {
-		total float64
-		count int
-	}
-	perSrc := make([]partial, len(srcs))
-	// Split the budget between the per-source fan-out and each tree
-	// traversal's bottom-up shards; IntraWorkers clamps the inner width
-	// to 1 below the engagement threshold, so small trees stay serial.
-	nw, inner := par.Split(workers, len(srcs))
-	inner = tc.IntraWorkers(inner)
-	wss := make([]*graph.Workspace, nw)
-	for w := range wss {
-		wss[w] = graph.GetWorkspace(n)
-		defer wss[w].Release()
-	}
-	err := par.ForEachWorkerErr(nw, len(srcs), func(w, si int) error {
-		if err := errs.Ctx(ctx); err != nil {
-			return err
-		}
-		ws := wss[w]
-		tc.BFSParallel(ws, srcs[si], inner)
-		p := partial{}
-		for _, v := range bySrc[srcs[si]] {
-			if ws.Hop[v] > 0 {
-				p.total += float64(ws.Hop[v])
-				p.count++
-			}
-		}
-		perSrc[si] = p
-		return nil
-	})
-	if err != nil {
-		return err
-	}
+	// Tree distances are integers, so the float64 total is exact and
+	// independent of summation order.
 	total := 0.0
 	count := 0
-	for _, p := range perSrc {
-		total += p.total
-		count += p.count
+	for i, id := range edges {
+		if i%1024 == 0 {
+			if err := errs.Ctx(ctx); err != nil {
+				return err
+			}
+		}
+		e := g.Edge(id)
+		if d := treeDist(depth, parent, e.U, e.V); d > 0 {
+			total += float64(d)
+			count++
+		}
 	}
 	if count == 0 {
 		return nil
 	}
 	a.val = Value{Scalar: total / float64(count)}
 	return nil
+}
+
+// forestDepths roots every tree of the spanning forest formed by the
+// given edges of g (one BFS per component, from its smallest node id)
+// and returns each node's depth and parent (-1 at the roots).
+func forestDepths(g *graph.Graph, treeEdges []int) (depth, parent []int32) {
+	n := g.NumNodes()
+	start := make([]int32, n+1)
+	for _, id := range treeEdges {
+		e := g.Edge(id)
+		start[e.U+1]++
+		start[e.V+1]++
+	}
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	adj := make([]int32, start[n])
+	fill := append([]int32(nil), start[:n]...)
+	for _, id := range treeEdges {
+		e := g.Edge(id)
+		adj[fill[e.U]] = int32(e.V)
+		fill[e.U]++
+		adj[fill[e.V]] = int32(e.U)
+		fill[e.V]++
+	}
+	depth = make([]int32, n)
+	parent = make([]int32, n)
+	for i := range depth {
+		depth[i] = -1
+	}
+	queue := make([]int32, 0, n)
+	for root := 0; root < n; root++ {
+		if depth[root] >= 0 {
+			continue
+		}
+		depth[root], parent[root] = 0, -1
+		queue = append(queue[:0], int32(root))
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, v := range adj[start[u]:start[u+1]] {
+				if depth[v] < 0 {
+					depth[v], parent[v] = depth[u]+1, u
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	return depth, parent
+}
+
+// treeDist is the hop distance between u and v in the rooted forest:
+// both endpoints walk up to their lowest common ancestor. u and v must
+// share a tree, as the endpoints of any graph edge do.
+func treeDist(depth, parent []int32, u, v int) int {
+	a, b := int32(u), int32(v)
+	d := 0
+	for depth[a] > depth[b] {
+		a = parent[a]
+		d++
+	}
+	for depth[b] > depth[a] {
+		b = parent[b]
+		d++
+	}
+	for a != b {
+		a, b = parent[a], parent[b]
+		d += 2
+	}
+	return d
 }
 
 func (a *distortionAcc) Finalize() Value { return a.val }
@@ -484,7 +497,7 @@ type hierarchyAcc struct {
 	val  Value
 }
 
-func (a *hierarchyAcc) Run(ctx context.Context, src *Source, _ int) error {
+func (a *hierarchyAcc) Run(ctx context.Context, src *Source, workers int) error {
 	if err := errs.Ctx(ctx); err != nil {
 		return err
 	}
@@ -498,7 +511,10 @@ func (a *hierarchyAcc) Run(ctx context.Context, src *Source, _ int) error {
 		return errs.BadParamf("metricreg: hierarchy-depth root %d out of range (n=%d)", root, n)
 	}
 	if root < 0 {
-		bc := g.Betweenness()
+		bc, err := src.CSR().Betweenness(ctx, workers)
+		if err != nil {
+			return err
+		}
 		root = 0
 		for i, b := range bc {
 			if b > bc[root] {

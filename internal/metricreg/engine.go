@@ -21,22 +21,29 @@ type Accumulator interface {
 	Finalize() Value
 }
 
-// BFSAccumulator subscribes to the fused BFS sweep: the engine unions
-// the sources of every subscribed accumulator, runs one BFS per
-// distinct source, and hands each result to every accumulator that
-// asked for that source — N metrics over shared sources cost one
-// traversal each, not N.
+// BFSAccumulator subscribes to the fused hop sweep: the engine unions
+// the sources of every subscribed accumulator, traverses each distinct
+// source exactly once with the bit-parallel multi-source BFS (up to 64
+// sources share one pass over the snapshot; graph.CSR.HopHistograms),
+// and hands the source's hop histogram to every accumulator that asked
+// for it — N metrics over shared sources cost one traversal each, not N.
+// A histogram carries level counts only, so the sweep serves metrics
+// that reduce a BFS to "how many nodes at each hop distance"; anything
+// needing parents or per-node hops is a BulkAccumulator.
 type BFSAccumulator interface {
 	Accumulator
 	// Sources returns the BFS source nodes this accumulator needs for
 	// an n-node snapshot, deterministically from its params and seed.
 	// The engine calls it exactly once, before any Observe.
 	Sources(n int) []int
-	// Observe records the finished BFS from src — Sources(n)[slot] —
-	// whose hop distances are in ws.Hop. Distinct slots may be observed
-	// concurrently; implementations keep per-slot state and reduce in
-	// Finalize.
-	Observe(slot, src int, ws *graph.Workspace)
+	// Observe records the hop histogram of src — Sources(n)[slot]:
+	// hist[h] is the number of nodes exactly h hops from src
+	// (hist[0] == 1), len(hist)-1 is src's eccentricity within its
+	// component, and unreachable nodes are not counted. hist is engine
+	// scratch, valid only during the call. Distinct slots may be
+	// observed concurrently; implementations keep per-slot state and
+	// reduce in Finalize.
+	Observe(slot, src int, hist []int)
 }
 
 // BulkAccumulator runs as one standalone task of the evaluation
@@ -192,8 +199,8 @@ type Options struct {
 
 // EvalStats describes the traversal schedule one Evaluate planned.
 type EvalStats struct {
-	// BFSRuns is the number of BFS traversals the fused sweep executed:
-	// the size of the union of every subscriber's source set.
+	// BFSRuns is the number of distinct sources the fused sweep
+	// traversed: the size of the union of every subscriber's source set.
 	BFSRuns int
 	// BFSRequested is the sum of the subscribers' source-set sizes —
 	// what the same set would have cost evaluated independently.
@@ -285,28 +292,28 @@ func (r *Registry) Evaluate(ctx context.Context, src *Source, set []Selection, o
 	if len(union) > 0 {
 		tasks = append(tasks, func() error {
 			c := src.CSR()
-			// One pooled workspace per sweep worker: the fused sweep then
-			// runs allocation-free at any node count. The worker budget is
-			// split between the source fan-out and each traversal's
-			// bottom-up shards (outer*inner <= budget), so a sweep with few
-			// sources over a large snapshot still saturates the machine.
-			workers, inner := par.Split(opt.Workers, len(union))
-			inner = c.IntraWorkers(inner)
-			wss := make([]*graph.Workspace, workers)
-			for w := range wss {
-				wss[w] = graph.GetWorkspace(n)
-				defer wss[w].Release()
+			// Batches of at most graph.MSBFSLanes consecutive sources, and
+			// at least one per worker so a small source set still spreads
+			// over the budget. Every histogram is exact whatever the
+			// batching, so results do not depend on the worker count.
+			batches := max((len(union)+graph.MSBFSLanes-1)/graph.MSBFSLanes, par.Workers(opt.Workers, len(union)))
+			workers := par.Workers(opt.Workers, batches)
+			hws := make([]*graph.HopWorkspace, workers)
+			for w := range hws {
+				hws[w] = graph.GetHopWorkspace(n)
+				defer hws[w].Release()
 			}
-			return par.ForEachWorkerErr(workers, len(union), func(w, i int) error {
+			return par.ForEachWorkerErr(workers, batches, func(w, b int) error {
 				if err := errs.Ctx(ctx); err != nil {
 					return err
 				}
-				u := union[i]
-				ws := wss[w]
-				c.BFSParallel(ws, u, inner)
-				for _, sb := range bySrc[u] {
-					sb.acc.Observe(sb.slot, u, ws)
-				}
+				batch := union[b*len(union)/batches : (b+1)*len(union)/batches]
+				c.HopHistograms(hws[w], batch, func(i int, hist []int) {
+					u := batch[i]
+					for _, sb := range bySrc[u] {
+						sb.acc.Observe(sb.slot, u, hist)
+					}
+				})
 				return nil
 			})
 		})

@@ -10,15 +10,17 @@
 //     the capabilities it needs from the evaluation source (CapGraph,
 //     CapConnected, CapMasked).
 //   - Streaming Accumulators: a metric's New builds one accumulator per
-//     evaluation; accumulators that consume breadth-first sweeps
-//     (BFSAccumulator) subscribe to a single fused BFS pass — metrics
-//     sharing sources share traversals instead of each re-walking the
-//     graph — while BulkAccumulators run as standalone tasks and
+//     evaluation; accumulators that reduce breadth-first sweeps to hop
+//     histograms (BFSAccumulator: nodes per hop distance from each of
+//     their sources) subscribe to a single fused sweep — metrics sharing
+//     sources share traversals instead of each re-walking the graph —
+//     while BulkAccumulators run as standalone tasks and
 //     MaskedAccumulators re-evaluate under node-removal masks (the
 //     robustness sweep contract).
-//   - Registry.Evaluate: plans the fused traversal schedule, fans it out
-//     across pooled workspaces, and finalizes every accumulator in set
-//     order, so results are byte-identical for any worker count.
+//   - Registry.Evaluate: plans the fused schedule, runs the sweep as a
+//     bit-parallel multi-source BFS over batches of up to 64 distinct
+//     sources on pooled workspaces, and finalizes every accumulator in
+//     set order, so results are byte-identical for any worker count.
 package metricreg
 
 import (

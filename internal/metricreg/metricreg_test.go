@@ -7,8 +7,10 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/errs"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/params"
 )
@@ -179,6 +181,96 @@ func TestEvaluateCancellation(t *testing.T) {
 	_, err := Default().Evaluate(ctx, NewSource(g, nil), []Selection{{Name: "resilience"}}, Options{})
 	if !errors.Is(err, errs.ErrCanceled) {
 		t.Fatalf("canceled evaluation gave %v, want ErrCanceled", err)
+	}
+}
+
+// TestHierarchyDepthCancels cancels a betweenness-rooted hierarchy-depth
+// evaluation on a graph whose full run takes seconds, shortly after it
+// starts: the Brandes kernel checks ctx at every window, so the call
+// returns ErrCanceled well before the run would finish.
+func TestHierarchyDepthCancels(t *testing.T) {
+	g, err := gen.BarabasiAlbert(20000, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewSource(g, nil)
+	src.CSR()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	start := time.Now()
+	time.AfterFunc(50*time.Millisecond, cancel)
+	_, err = Default().Evaluate(ctx, src, []Selection{{Name: "hierarchy-depth"}}, Options{Workers: 2})
+	elapsed := time.Since(start)
+	if !errors.Is(err, errs.ErrCanceled) {
+		t.Fatalf("canceled hierarchy-depth gave %v, want ErrCanceled", err)
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("hierarchy-depth returned %v after start, want soon after the 50ms cancel", elapsed)
+	}
+}
+
+// TestHopSweepMatchesPerSourceBFS pins the multi-source sweep to the
+// per-source reference on a graph with an unreachable part, at source
+// counts around the 64-lane batch width and at several worker counts:
+// every value equals (==) the one computed from a top-down BFS per
+// source with the pre-histogram per-node reductions.
+func TestHopSweepMatchesPerSourceBFS(t *testing.T) {
+	g := ladder(300, 7)
+	for i := 0; i < 5; i++ {
+		g.AddNode(graph.Node{}) // isolated
+	}
+	g.AddEdge(graph.Edge{U: 301, V: 302, Weight: 1})
+	n := g.NumNodes()
+	c := g.Freeze()
+	ws := graph.GetWorkspace(n)
+	defer ws.Release()
+	const maxH = 4
+	for _, k := range []int{1, 63, 64, 65, 130} {
+		srcs := chooseSources(n, k, 9)
+		expansion := make([]float64, maxH+1)
+		total, count, diameter := 0.0, 0, int32(0)
+		for _, s := range srcs {
+			c.BFSTopDown(ws, s)
+			row := make([]int, maxH+1)
+			for _, d := range ws.Hop[:n] {
+				if d >= 0 && int(d) <= maxH {
+					row[d]++
+				}
+				if d > 0 {
+					total += float64(d)
+					count++
+					diameter = max(diameter, d)
+				}
+			}
+			acc := 0
+			for h := range row {
+				acc += row[h]
+				expansion[h] += float64(acc) / float64(n)
+			}
+		}
+		for h := range expansion {
+			expansion[h] /= float64(len(srcs))
+		}
+		want := map[string]Value{
+			"expansion":      {Scalar: expansion[maxH], Series: expansion},
+			"avg-hop-length": {Scalar: total / float64(count)},
+			"diameter":       {Scalar: float64(diameter)},
+		}
+		p := params.Params{"sources": float64(k)}
+		set := []Selection{
+			{Name: "expansion", Params: params.Params{"sources": float64(k), "maxh": maxH}},
+			{Name: "avg-hop-length", Params: p},
+			{Name: "diameter", Params: p},
+		}
+		for _, w := range []int{1, 2, 8} {
+			got, err := Default().Evaluate(context.Background(), NewSource(g, c), set, Options{Workers: w, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("sources %d workers %d: sweep %v, per-source reference %v", k, w, got, want)
+			}
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ func TestAdaptiveAttackOrderIsPermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, err := atk.Schedule(context.Background(), g.Clone(), nil, 1)
+	order, err := atk.Schedule(context.Background(), g.Clone(), nil, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,8 +81,9 @@ type SweepSpec struct {
 	Metrics []string
 	// Mode selects the evaluation path (default ModeAuto).
 	Mode Mode
-	// Workers bounds the trial fan-out (<= 0 means GOMAXPROCS); curves
-	// are byte-identical for any value.
+	// Workers is the sweep's worker budget (<= 0 means GOMAXPROCS),
+	// split between the trial fan-out and each trial's schedule
+	// computation; curves are byte-identical for any value.
 	Workers int
 }
 
@@ -170,11 +171,12 @@ func RunSweepContext(ctx context.Context, g *graph.Graph, c *graph.CSR, spec Swe
 		c = g.Freeze()
 	}
 	perTrial := make([][][]float64, trials)
-	err = par.ForEachErr(spec.Workers, trials, func(trial int) error {
+	outer, inner := par.Split(spec.Workers, trials)
+	err = par.ForEachErr(outer, trials, func(trial int) error {
 		if err := errs.Ctx(ctx); err != nil {
 			return fmt.Errorf("robust: sweep trial %d: %w", trial, err)
 		}
-		order, err := atk.Schedule(ctx, g, resolved, rng.Derive(seed, trial))
+		order, err := atk.Schedule(ctx, g, resolved, rng.Derive(seed, trial), inner)
 		if err != nil {
 			return fmt.Errorf("robust: sweep trial %d: attack %q: %w", trial, atk.Name(), err)
 		}

@@ -144,18 +144,36 @@ func allStagesScenario(seeds ...int64) Scenario {
 // one-unit batch spends all of it inside the unit's stages; the two-unit
 // batch at Workers 3 splits it unevenly (two units, one worker each).
 func TestRunBatchWorkersDeterminism(t *testing.T) {
-	batches := map[string][]Scenario{
-		"multi-unit": testScenarios(),
-		"one-unit":   {allStagesScenario(1)},
-		"two-unit":   {allStagesScenario(1, 2)},
+	small := []int{1, 2, 3, 8}
+	batches := map[string]struct {
+		scs     []Scenario
+		workers []int
+	}{
+		"multi-unit": {testScenarios(), small},
+		"one-unit":   {[]Scenario{allStagesScenario(1)}, small},
+		"two-unit":   {[]Scenario{allStagesScenario(1, 2)}, small},
+	}
+	if !testing.Short() {
+		// Benchmark size: the full profile plus exact hop metrics on a
+		// BA n=3000 unit, where every multi-worker kernel engages.
+		batches["ba3k-profile"] = struct {
+			scs     []Scenario
+			workers []int
+		}{[]Scenario{{
+			Name:     "ba3k",
+			Generate: GenerateSpec{Model: "ba", Params: Params{"n": 3000, "m": 2, "seed": 101}},
+			Measure: &MeasureSpec{Profile: true, Metrics: []MetricSelection{
+				{Name: "avg-hop-length"}, {Name: "diameter"},
+			}},
+		}}, []int{1, 2, 8}}
 	}
 	if outer, inner := par.Split(3, 2); outer != 2 || inner != 1 {
 		t.Fatalf("par.Split(3, 2) = (%d, %d), want (2, 1)", outer, inner)
 	}
-	for name, scs := range batches {
+	for name, b := range batches {
 		var wantText, wantJSON string
-		for _, workers := range []int{1, 2, 3, 8} {
-			res, err := NewEngine(nil).RunBatch(context.Background(), scs, Options{Workers: workers})
+		for i, workers := range b.workers {
+			res, err := NewEngine(nil).RunBatch(context.Background(), b.scs, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s/workers=%d: %v", name, workers, err)
 			}
@@ -164,7 +182,7 @@ func TestRunBatchWorkersDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			text, js := formatAll(res), string(data)
-			if workers == 1 {
+			if i == 0 {
 				wantText, wantJSON = text, js
 				continue
 			}

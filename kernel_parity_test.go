@@ -1,6 +1,7 @@
 package hotgen
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -302,6 +303,52 @@ func TestMaskedLCCTrajectoryMatchesSubgraphs(t *testing.T) {
 			}
 			if got := c.LargestComponentMasked(ws, removed); got != want {
 				t.Fatalf("%s frac %v: masked LCC %d vs subgraph %d", m.name, frac, got, want)
+			}
+		}
+	}
+}
+
+// TestCSRBetweennessParityAcrossModels pins the source-parallel Brandes
+// kernel to the serial Graph.Betweenness oracle with == on every model,
+// a HOT topology, and a multigraph with parallel edges and isolated
+// nodes, at widths that leave ragged windows (3) and exceed the
+// machine (8).
+func TestCSRBetweennessParityAcrossModels(t *testing.T) {
+	models := append(parityModels(), parityModel{"hot", func(seed int64) (*graph.Graph, error) {
+		g, _, err := core.GrowHOT(core.HOTConfig{
+			N: 300, Seed: seed, LinksPerArrival: 2,
+			Terms: []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
+		})
+		return g, err
+	}}, parityModel{"multigraph", func(int64) (*graph.Graph, error) {
+		g := graph.New(9)
+		for i := 0; i < 9; i++ {
+			g.AddNode(graph.Node{})
+		}
+		for _, e := range [][2]int{{0, 1}, {0, 1}, {1, 2}, {2, 3}, {3, 0}, {3, 4}, {3, 4}, {4, 5}, {7, 8}} {
+			g.AddEdge(graph.Edge{U: e[0], V: e[1], Weight: 1})
+		}
+		return g, nil // node 6 is isolated
+	}})
+	for _, m := range models {
+		g, err := m.build(1)
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		want := g.Betweenness()
+		c := g.Freeze()
+		for _, w := range []int{1, 2, 3, 8} {
+			got, err := c.Betweenness(context.Background(), w)
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", m.name, w, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s workers %d: %d values, want %d", m.name, w, len(got), len(want))
+			}
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("%s workers %d: bc[%d] = %v, Graph.Betweenness %v", m.name, w, v, got[v], want[v])
+				}
 			}
 		}
 	}
